@@ -28,6 +28,16 @@
 //!    the untiled interpreter (belt and braces over the version check),
 //!    and its LRU curve is reported alongside as the demand-paging view.
 //!
+//! Steps 2–3 run in parallel across the rayon workers. Each worker pulls
+//! candidate indices from a shared cursor, reuses one trace buffer and
+//! one version scratch, polls [`Seam::Tuner`] once per candidate, and
+//! keeps only the candidate's per-S OPT loads (or "illegal"). The scores
+//! are then reduced sequentially in candidate order with a strict `<`:
+//! the lowest candidate index wins every tie, so winners and rows are
+//! identical to a one-by-one scan whatever order the workers finish in.
+//! The first typed error stops every worker at its next candidate. Only
+//! the winners are tiled again for step 4.
+//!
 //! The outcome per `(kernel, S)` is a [`TightnessPoint`]: lower bound,
 //! best measured upper bound, and their ratio — emitted as
 //! `BENCH_tightness.json` (schema `tightness/v3`) and gated in CI against
@@ -55,6 +65,7 @@ use iolb_symbolic::Var;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// One kernel's tightness measurement inputs.
@@ -475,6 +486,77 @@ impl TraceRef {
     }
 }
 
+/// One candidate's score: its OPT loads at every swept S, or `None` when
+/// its enumeration is dependence-illegal.
+type Score = Option<Vec<u64>>;
+
+/// Scores candidates `0..n` across the rayon workers and returns the
+/// scores in candidate order.
+///
+/// Each worker builds one scratch with `scratch` and reuses it for every
+/// candidate it pulls from a shared cursor. `poll` runs once before each
+/// candidate (the [`Seam::Tuner`] poll). A panic inside `score` becomes a
+/// typed error in the worker, and the first error — polled or scored —
+/// stops every worker at its next candidate; the error of the lowest
+/// failed candidate index is returned.
+///
+/// # Errors
+/// The lowest-index typed error any worker hit.
+fn score_candidates<W>(
+    n: usize,
+    poll: impl Fn() -> Result<(), AnalysisError> + Sync,
+    scratch: impl Fn() -> W + Sync,
+    score: impl Fn(usize, &mut W) -> Result<Score, AnalysisError> + Sync,
+) -> Result<Vec<Score>, AnalysisError> {
+    let cursor = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let workers = rayon::current_num_threads().clamp(1, n.max(1));
+    let mut done: Vec<(usize, Result<Score, AnalysisError>)> = (0..workers)
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|_| {
+            let mut w = scratch();
+            let mut done = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                let ci = cursor.fetch_add(1, Ordering::Relaxed);
+                if ci >= n {
+                    break;
+                }
+                let r = catch_analysis_mut(|| {
+                    poll()?;
+                    score(ci, &mut w)
+                });
+                if r.is_err() {
+                    stop.store(true, Ordering::Relaxed);
+                }
+                done.push((ci, r));
+            }
+            done
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .flatten()
+        .collect();
+    done.sort_unstable_by_key(|&(ci, _)| ci);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// The winner per S as `(loads, candidate index)`: a sequential reduction
+/// in candidate order with a strict `<`, so the lowest index wins every
+/// tie whatever order the workers finished in. `None` when program order
+/// (index 0, the baseline every S starts from) did not score.
+fn pick_winners(scores: &[Score]) -> Option<Vec<(u64, usize)>> {
+    let mut best: Vec<(u64, usize)> = scores.first()?.as_ref()?.iter().map(|&l| (l, 0)).collect();
+    for (ci, loads) in scores.iter().enumerate().skip(1) {
+        for (b, &l) in best.iter_mut().zip(loads.iter().flatten()) {
+            if l < b.0 {
+                *b = (l, ci);
+            }
+        }
+    }
+    Some(best)
+}
+
 fn measure_kernel(
     job: TightnessJob,
     budget: &Budget,
@@ -493,72 +575,80 @@ fn measure_kernel(
         },
     )?;
 
-    // Score every candidate once: emit (+ legality-check) its trace into
-    // the shared buffer, then read every S point off one OPT curve.
-    // Program order (index 0) is the reference itself, so every cell ends
-    // up populated. Candidate traces are necessarily materialized (the
-    // version legality check writes them), so they feed the sharded
-    // streaming engine through the slice `ChunkedTrace` bridge.
+    // Score every candidate once, in parallel: emit (+ legality-check) its
+    // trace into the worker's buffer, then read every S point off one OPT
+    // curve. Program order (index 0) is the reference itself and always
+    // legal. Candidate traces are necessarily materialized (the version
+    // legality check writes them), so they feed the sharded streaming
+    // engine through the slice `ChunkedTrace` bridge.
     let engine = ShardedCurveEngine::new();
-    let mut trace_buf: Vec<u64> = Vec::with_capacity(tref.trace.len());
-    let mut wc = vec![0u32; tref.n_cells];
-    let mut best: Vec<Option<(u64, usize)>> = vec![None; s_values.len()];
-    let mut program_order_loads: Vec<u64> = vec![0; s_values.len()];
-    let mut tiled_programs: HashMap<usize, Program> = HashMap::new();
-    for (ci, cand) in cands.iter().enumerate() {
+    let tile = |tiles: &[TileSpec]| {
+        tile_program(&job.program, tiles)
+            .map_err(|e| AnalysisError::Refused(format!("{}: {e}", job.name)))
+    };
+    let scores = score_candidates(
+        cands.len(),
         // The auto-tuner seam: one poll per candidate bounds how much work
         // a deadline or an external cancel can leave in flight, and is
         // where the fault-injection harness targets `*@tuner` faults.
-        token.check(Seam::Tuner)?;
-        let trace: &[u64] = match &cand.tiles {
-            None => &tref.trace,
-            Some(tiles) => {
-                let tiled = tile_program(&job.program, tiles)
-                    .map_err(|e| AnalysisError::Refused(format!("{}: {e}", job.name)))?;
-                let legal = tref.emit_candidate(&tiled, &job.params, &mut trace_buf, &mut wc);
-                tiled_programs.insert(ci, tiled);
-                if !legal {
-                    continue; // illegal interchange: disqualified, not an error
+        || token.check(Seam::Tuner),
+        || {
+            (
+                Vec::with_capacity(tref.trace.len()),
+                vec![0u32; tref.n_cells],
+            )
+        },
+        |ci, (trace_buf, wc)| {
+            let trace: &[u64] = match &cands[ci].tiles {
+                None => &tref.trace,
+                Some(tiles) => {
+                    let tiled = tile(tiles)?;
+                    if !tref.emit_candidate(&tiled, &job.params, trace_buf, wc) {
+                        return Ok(None); // illegal interchange: disqualified, not an error
+                    }
+                    trace_buf
                 }
-                &trace_buf
-            }
-        };
-        let curve = engine.try_opt(trace, s_max, token)?;
-        for (si, &s) in s_values.iter().enumerate() {
-            let loads = curve.loads(s);
-            if ci == 0 {
-                program_order_loads[si] = loads;
-            }
-            if best[si].is_none_or(|(l, _)| loads < l) {
-                best[si] = Some((loads, ci));
-            }
-        }
-    }
+            };
+            let curve = engine.try_opt(trace, s_max, token)?;
+            Ok(Some(s_values.iter().map(|&s| curve.loads(s)).collect()))
+        },
+    )?;
+    let best = pick_winners(&scores).ok_or_else(|| {
+        AnalysisError::Internal(format!(
+            "{}: program order did not score (it must always be legal)",
+            job.name
+        ))
+    })?;
+    let program_order_loads = scores[0].as_deref().unwrap_or_default();
 
     // Cross-check every winning tiled schedule against the untiled
     // interpreter — identical final stores, bit for bit — and take the
-    // winner's LRU curve (the demand-paging view of the same trace).
+    // winner's LRU curve (the demand-paging view of the same trace). Only
+    // the winners are re-tiled.
     let winning: Vec<usize> = {
-        let mut w: Vec<usize> = best.iter().flatten().map(|&(_, ci)| ci).collect();
+        let mut w: Vec<usize> = best.iter().map(|&(_, ci)| ci).collect();
         w.sort_unstable();
         w.dedup();
         w
     };
     let init = |a: ArrayId, f: usize| 1.0 + a.0 as f64 + f as f64 * 0.25;
     let base_store = Interpreter::new(&job.program, &job.params).run_numeric(init);
+    let mut trace_buf: Vec<u64> = Vec::new();
+    let mut wc = vec![0u32; tref.n_cells];
     let mut lru_curves: HashMap<usize, MissCurve> = HashMap::new();
     for &ci in &winning {
-        let trace: &[u64] = match tiled_programs.get(&ci) {
+        let trace: &[u64] = match &cands[ci].tiles {
             None => &tref.trace, // program order needs no cross-check
-            Some(tiled) => {
-                let got = Interpreter::new(tiled, &job.params).run_numeric(init);
+            Some(tiles) => {
+                let tiled = tile(tiles)?;
+                let got = Interpreter::new(&tiled, &job.params).run_numeric(init);
                 if got.data != base_store.data {
                     return Err(AnalysisError::Internal(format!(
                         "{}: schedule `{}` changed the numeric result — illegal interchange",
                         job.name, cands[ci].desc
                     )));
                 }
-                let legal = tref.emit_candidate(tiled, &job.params, &mut trace_buf, &mut wc);
+                let legal = tref.emit_candidate(&tiled, &job.params, &mut trace_buf, &mut wc);
                 debug_assert!(legal, "winner was scored, so it must re-emit");
                 &trace_buf
             }
@@ -568,12 +658,7 @@ fn measure_kernel(
 
     let mut points = Vec::with_capacity(s_values.len());
     for (si, &s) in s_values.iter().enumerate() {
-        let (upper_loads, ci) = best[si].ok_or_else(|| {
-            AnalysisError::Internal(format!(
-                "{}: no legal schedule at S={s} (program order must always score)",
-                job.name
-            ))
-        })?;
+        let (upper_loads, ci) = best[si];
         let trace_lru_loads = lru_curves[&ci].loads(s);
         // Invariants of the measurement itself (an inversion here is an
         // engine bug, not a tightness result): the optimal curve of the
@@ -919,5 +1004,216 @@ kernel carried(T, N) {
         ];
         let b = tightness_report_json(&run_tightness(jobs).expect("tightness"), true);
         assert_eq!(a, b, "same inputs produce byte-identical redacted JSON");
+    }
+
+    /// Ties go to the lowest candidate index, in the reduction itself and
+    /// end to end through the parallel scorer even when later candidates
+    /// finish first.
+    #[test]
+    fn equal_loads_go_to_the_lowest_candidate_index() {
+        let scores: Vec<Score> = vec![
+            Some(vec![10, 10, 7]),
+            Some(vec![8, 9, 7]),
+            None,
+            Some(vec![8, 9, 6]),
+            Some(vec![9, 9, 6]),
+        ];
+        assert_eq!(
+            pick_winners(&scores),
+            Some(vec![(8, 1), (9, 1), (6, 3)]),
+            "equal loads at every S keep the earlier candidate"
+        );
+        assert_eq!(pick_winners(&[None, Some(vec![1])]), None);
+
+        // Every candidate scores the same loads. With two workers or more,
+        // candidate 0 finishes last: it waits until the final candidate
+        // is scored.
+        let n = 12;
+        let last_done = Gate::default();
+        let forced = rayon::current_num_threads() >= 2;
+        let scores = score_candidates(
+            n,
+            || Ok(()),
+            || (),
+            |ci, _| {
+                if ci == 0 && forced {
+                    last_done.wait();
+                }
+                if ci == n - 1 {
+                    last_done.open();
+                }
+                Ok(Some(vec![5, 5]))
+            },
+        )
+        .expect("scores");
+        assert_eq!(scores.len(), n);
+        assert_eq!(pick_winners(&scores), Some(vec![(5, 0), (5, 0)]));
+    }
+
+    /// A one-shot latch: `wait` blocks until `open` was called.
+    #[derive(Default)]
+    struct Gate(std::sync::Mutex<bool>, std::sync::Condvar);
+
+    impl Gate {
+        fn open(&self) {
+            *self.0.lock().expect("gate lock") = true;
+            self.1.notify_all();
+        }
+
+        fn wait(&self) {
+            let mut open = self.0.lock().expect("gate lock");
+            while !*open {
+                open = self.1.wait(open).expect("gate lock");
+            }
+        }
+    }
+
+    /// The first typed error — from a candidate or from the tuner poll —
+    /// surfaces with its class and stops the other workers at their next
+    /// candidate instead of scoring the rest.
+    #[test]
+    fn first_tuner_error_stops_every_worker() {
+        let n = 64;
+        let k = 5;
+        // Each other worker finishes the candidate it holds (a few more if
+        // the failing worker is descheduled before it raises the stop
+        // flag) — far fewer than all `n`.
+        let slack = k + 1 + 4 * rayon::current_num_threads();
+
+        // A typed error out of one candidate's scoring. Candidates past
+        // `k` wait until it has failed, so the other workers are busy
+        // when the error lands.
+        let failed = Gate::default();
+        let scored = AtomicUsize::new(0);
+        let err = score_candidates(
+            n,
+            || Ok(()),
+            || (),
+            |ci, _| {
+                scored.fetch_add(1, Ordering::Relaxed);
+                if ci == k {
+                    failed.open();
+                    return Err(AnalysisError::BudgetExceeded {
+                        resource: "trace_len",
+                        needed: 2,
+                        limit: 1,
+                    });
+                }
+                if ci > k {
+                    failed.wait();
+                }
+                Ok(Some(vec![ci as u64]))
+            },
+        )
+        .expect_err("the candidate's error surfaces");
+        assert_eq!(err.class_name(), "budget");
+        let seen = scored.load(Ordering::Relaxed);
+        assert!(
+            seen <= slack,
+            "{seen} candidates scored after an error at {k}"
+        );
+
+        // A cancel landing at the k-th `Seam::Tuner` poll: the polls
+        // before it pass, every later one fails.
+        let token = CancelToken::unlimited();
+        let (polls, scored) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let err = score_candidates(
+            n,
+            || {
+                if polls.fetch_add(1, Ordering::Relaxed) + 1 == k {
+                    token.cancel();
+                }
+                token.check(Seam::Tuner)
+            },
+            || (),
+            |ci, _| {
+                scored.fetch_add(1, Ordering::Relaxed);
+                Ok(Some(vec![ci as u64]))
+            },
+        )
+        .expect_err("the cancel surfaces");
+        assert!(matches!(err, AnalysisError::Cancelled), "{err:?}");
+        let seen = scored.load(Ordering::Relaxed);
+        assert!(
+            seen < k,
+            "{seen} candidates scored past a cancel at poll {k}"
+        );
+        assert!(polls.load(Ordering::Relaxed) <= slack);
+
+        // A panic inside a worker is typed there, payload intact.
+        let err = score_candidates(
+            n,
+            || Ok(()),
+            || (),
+            |ci, _| {
+                if ci == k {
+                    panic!("candidate {ci} blew up");
+                }
+                Ok(None)
+            },
+        )
+        .expect_err("the panic surfaces");
+        assert!(
+            matches!(err, AnalysisError::Internal(ref m) if m.contains("candidate 5 blew up")),
+            "{err:?}"
+        );
+    }
+
+    /// The parallel tuner reproduces the committed `BENCH_tightness.json`
+    /// gemm_tiled rows: same winner, same measured loads at every S.
+    #[test]
+    fn gemm_tiled_rows_match_the_committed_baseline() {
+        let committed = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_tightness.json"
+        ));
+        let field = |row: &str, key: &str| -> String {
+            let at = row.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4;
+            let rest = &row[at..];
+            let end = rest.find([',', '}']).expect("field end");
+            rest[..end].trim_matches('"').to_string()
+        };
+        let block = committed
+            .split("{\"kernel\": \"gemm_tiled\", \"params\"")
+            .nth(1)
+            .expect("gemm_tiled in BENCH_tightness.json");
+        let rows: Vec<&str> = block
+            .lines()
+            .skip(1)
+            .take_while(|l| l.trim_start().starts_with("{\"s\""))
+            .collect();
+        assert!(rows.len() > 10, "dense grid rows");
+        let s_values: Vec<usize> = rows
+            .iter()
+            .map(|r| field(r, "s").parse().unwrap())
+            .collect();
+
+        let src = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../kernels/gemm_tiled.iolb"
+        ));
+        let mut job = job_from_src(src, vec![24, 24, 24], "SU");
+        let min_s = s_values[0]; // max in-degree + 1 for gemm_tiled
+        job.s_offsets = s_values.iter().map(|&s| s - min_s).collect();
+        let report = run_tightness(vec![job]).expect("tightness");
+        let points = &report.kernels[0].points;
+        assert_eq!(points.len(), rows.len());
+        for (t, row) in points.iter().zip(&rows) {
+            let got = (
+                t.s.to_string(),
+                t.upper_loads.to_string(),
+                t.upper_schedule.clone(),
+                t.program_order_loads.to_string(),
+                t.trace_lru_loads.to_string(),
+            );
+            let want = (
+                field(row, "s"),
+                field(row, "upper_loads"),
+                field(row, "upper_schedule"),
+                field(row, "program_order_loads"),
+                field(row, "trace_lru_loads"),
+            );
+            assert_eq!(got, want, "S={}", t.s);
+        }
     }
 }

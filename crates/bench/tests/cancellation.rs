@@ -9,7 +9,7 @@ use iolb_bench::sweep::{
 use iolb_bench::tightness::{try_run_tightness, TightnessJob};
 use iolb_cdag::try_build_cdag;
 use iolb_govern::{catch_analysis_mut, AnalysisError, Budget, CancelToken, Fault, FaultKind, Seam};
-use iolb_memsim::CurveEngine;
+use iolb_memsim::{CurveEngine, ShardedCurveEngine};
 
 /// A small GEMM with an auto-tuned schedule — the only built-in shape that
 /// exercises the tuner seam.
@@ -262,13 +262,16 @@ fn sweep_faults_at_shard_seams_are_typed() {
     assert!(matches!(err, AnalysisError::Deadline { .. }), "got {err}");
 }
 
-/// Issue acceptance: the streaming sharded path is bitwise-equal to the
-/// materialized reference on *every* shipped kernel — same rows, same
-/// measured loads, cell for cell. (Traces at `SweepSize::Small` sit under
+/// The streaming sharded path is bitwise-equal to the materialized
+/// reference on *every* shipped kernel — same rows, same measured loads,
+/// cell for cell. (Traces at `SweepSize::Small` sit under
 /// `CROSS_CHECK_CAP`, so the streaming run additionally re-prices each
 /// curve on the materialized engine internally and would already have
 /// failed with `Internal` on any divergence; this test pins the
-/// report-level equality end to end.)
+/// report-level equality end to end.) Shipped traces fit in one default
+/// chunk, so the second half re-prices every `kernels/*.iolb`
+/// program-order trace with chunk lengths that force many chunk
+/// boundaries: LRU and OPT stay bitwise the materialized curves.
 #[test]
 fn all_shipped_kernels_price_identically_under_both_strategies() {
     let registry = iolb_core::EngineRegistry::all();
@@ -299,5 +302,47 @@ fn all_shipped_kernels_price_identically_under_both_strategies() {
             "{} S={} {:?}: streaming vs materialized loads",
             s.kernel, s.s, s.policy
         );
+    }
+
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../kernels");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("kernels dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "iolb"))
+        .collect();
+    files.sort();
+    assert!(
+        files.len() >= 11,
+        "every shipped kernel, got {}",
+        files.len()
+    );
+    let token = CancelToken::unlimited();
+    for file in &files {
+        let src = std::fs::read_to_string(file).expect("read kernel");
+        let kernel = iolb_ir::parse_kernel(&src).expect("parse");
+        let params = kernel.default_params().expect("default params");
+        let cdag =
+            try_build_cdag(&kernel.program, &params, &Budget::unlimited(), &token).expect("cdag");
+        let mut trace = Vec::new();
+        cdag.packed_program_order_trace(&mut trace);
+        // The dense grid's largest S.
+        let horizon = cdag.max_in_degree() + 1 + 256;
+        let mut materialized = CurveEngine::new();
+        let lru = materialized.lru_packed(&trace, horizon);
+        let opt = materialized.opt_packed(&trace, horizon);
+        for chunk_len in [251, 4096] {
+            let sharded = ShardedCurveEngine::with_chunk_len(chunk_len);
+            let name = file.display();
+            assert_eq!(
+                sharded.try_lru(&trace, horizon, &token).expect("lru"),
+                lru,
+                "{name}: LRU at chunk length {chunk_len}"
+            );
+            assert_eq!(
+                sharded.try_opt(&trace, horizon, &token).expect("opt"),
+                opt,
+                "{name}: OPT at chunk length {chunk_len}"
+            );
+        }
     }
 }

@@ -170,13 +170,14 @@ pub fn run_with_code(args: &[String]) -> u8 {
             rows: Vec::new(),
             degradation: degradation.clone(),
             failures: failures.clone(),
-            total_wall_ms: 0.0,
+            // The files ran concurrently: the batch wall is the real
+            // elapsed time, where a sum of per-file walls would overstate it.
+            total_wall_ms: batch_wall_ms,
             threads: 0,
             scaling: Vec::new(),
         };
         for o in outcomes.iter().filter_map(|o| o.report.as_ref()) {
             combined.rows.extend(o.rows.iter().cloned());
-            combined.total_wall_ms += o.total_wall_ms;
             combined.threads = combined.threads.max(o.threads);
         }
         if let Err(e) = std::fs::write(path, sweep_report_json(&combined)) {

@@ -282,3 +282,69 @@ fn fuzz_run_is_clean_and_its_json_is_seed_stamped_and_deterministic() {
     );
     assert!(json_a.contains("\"schema\": \"hourglass-iolb/fuzz/v1\""));
 }
+
+/// Symbolic bounds render the same text whatever the process analyzed
+/// before: gemm's section of a syrk-then-gemm batch (syrk interns `N`
+/// and `K` before gemm's `M`) equals gemm's section when it runs alone.
+/// One worker keeps the batch in file order, so syrk really runs first.
+#[test]
+fn bound_text_does_not_depend_on_earlier_kernels() {
+    let derive = |files: &[&str]| {
+        let mut args = vec!["--derive-only".to_string()];
+        args.extend(
+            files
+                .iter()
+                .map(|f| kernels_dir().join(f).to_str().expect("utf8").to_string()),
+        );
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_iolb"))
+            .args(&args)
+            .env("RAYON_NUM_THREADS", "1")
+            .output()
+            .expect("spawn iolb");
+        assert!(out.status.success(), "iolb {args:?} failed");
+        String::from_utf8(out.stdout).expect("utf8 stdout")
+    };
+    let section = |text: &str, kernel: &str| {
+        let start = text
+            .find(&format!("── {kernel} "))
+            .unwrap_or_else(|| panic!("no {kernel} section in:\n{text}"));
+        let rest = &text[start..];
+        rest[..rest.find("\n\n").unwrap_or(rest.len())].to_string()
+    };
+    let alone = section(&derive(&["gemm.iolb"]), "gemm");
+    let after_syrk = section(&derive(&["syrk.iolb", "gemm.iolb"]), "gemm");
+    assert_eq!(after_syrk, alone);
+    assert!(
+        alone.contains("(N·M·K + -1·N·K)"),
+        "gemm's classical bound in render order:\n{alone}"
+    );
+}
+
+/// The batch sweep JSON reports the batch's own wall time: files run
+/// concurrently, so a sum of per-file walls could exceed the time the
+/// batch really took.
+#[test]
+fn sweep_json_wall_time_is_the_batch_wall() {
+    let json = std::env::temp_dir().join(format!("iolb-wall-{}.json", std::process::id()));
+    let mut args: Vec<String> = ["--s-grid", "0,8", "--no-tightness", "--json"]
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+    args.push(json.to_str().expect("utf8 tmp path").to_string());
+    for file in ["gemm.iolb", "syrk.iolb", "gemm_tiled.iolb", "cholesky.iolb"] {
+        args.push(kernels_dir().join(file).to_str().expect("utf8").to_string());
+    }
+    let t = std::time::Instant::now();
+    assert_eq!(iolb_cli::run_with_code(&args), 0);
+    let measured_ms = t.elapsed().as_secs_f64() * 1e3;
+    let text = std::fs::read_to_string(&json).expect("sweep json");
+    let _ = std::fs::remove_file(&json);
+    let at = text.find("\"total_wall_ms\": ").expect("meta wall") + "\"total_wall_ms\": ".len();
+    let end = text[at..].find([',', '}']).expect("field end");
+    let wall_ms: f64 = text[at..at + end].trim().parse().expect("number");
+    assert!(wall_ms > 0.0, "live wall recorded");
+    assert!(
+        wall_ms <= measured_ms,
+        "reported wall {wall_ms} ms exceeds the measured batch wall {measured_ms} ms"
+    );
+}

@@ -35,11 +35,18 @@
 //! [`Seam::OptPass`] seams inside every shard (every 4096 positions) and
 //! in the merge, so cancellation and deadlines land in bounded time no
 //! matter which worker is hot.
+//!
+//! Per-cell bookkeeping is dense: cell ids are trace offsets, so every
+//! pass indexes plain `Vec`s by cell instead of hashing. Each shard worker
+//! keeps one cell-indexed table (plus its chunk buffer and Fenwick) for
+//! all the chunks it takes, and a chunk pass resets only the cells that
+//! chunk touched — its first-touch list — so a chunk costs O(chunk length)
+//! however large the cell universe grows.
 
 use crate::curve::{Fenwick, MissCurve};
 use iolb_govern::{AnalysisError, CancelToken, Seam};
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A pull source of packed trace events (`(cell << 1) | write` per
 /// `u64`), random-access at chunk granularity so parallel shards can read
@@ -146,16 +153,35 @@ struct LruChunk {
 /// Per-chunk output of the parallel OPT summary pass.
 struct OptChunk {
     /// `(cell, packed global position of the first in-chunk access)` in
-    /// first-touch order.
+    /// first-touch order — one entry per distinct cell of the chunk.
     firsts: Vec<(u64, u64)>,
-    /// `(cell, last local position)` per distinct cell.
-    lasts: Vec<(u64, u32)>,
-    /// Packed next use *after* this chunk for each entry of `lasts`
+    /// Packed next use *after* this chunk for each entry of `firsts`
     /// ([`NONE64`] when the cell never recurs); filled by the backward
     /// threading sweep.
-    nu_of_last: Vec<u64>,
+    nu_after: Vec<u64>,
     /// Largest cell id seen.
     max_cell: u64,
+}
+
+/// One shard worker's reusable state: the chunk buffer, a cell-indexed
+/// table ([`NIL32`] in every cell between chunks) and the LRU pass's
+/// Fenwick tree.
+#[derive(Default)]
+struct ShardScratch {
+    buf: Vec<u64>,
+    table: Vec<u32>,
+    bit: Fenwick,
+}
+
+/// Grows a cell table to cover every cell of `buf` (new cells start at
+/// [`NIL32`]) and returns the largest cell id of the chunk.
+fn cover_cells(table: &mut Vec<u32>, buf: &[u64]) -> u64 {
+    let max_cell = buf.iter().map(|&p| p >> 1).max().unwrap_or(0);
+    let need = usize::try_from(max_cell).expect("cell id exceeds the address space") + 1;
+    if table.len() < need {
+        table.resize(need, NIL32);
+    }
+    max_cell
 }
 
 impl ShardedCurveEngine {
@@ -194,10 +220,8 @@ impl ShardedCurveEngine {
         }
         // Shard pass: each chunk resolves its internal reuses exactly and
         // summarizes its boundary.
-        let chunks = self.map_chunks(len, |k, lo, buf| {
-            trace.fill(lo, buf);
-            lru_chunk_pass(k, buf, horizon, token)
-        })?;
+        let chunks =
+            self.map_chunks(trace, |_, scratch| lru_chunk_pass(scratch, horizon, token))?;
 
         // Sequential boundary merge over the compressed mark universe.
         let cells = chunks.iter().map(|c| c.max_cell + 1).max().unwrap_or(0) as usize;
@@ -277,11 +301,9 @@ impl ShardedCurveEngine {
         if len == 0 {
             return Ok(MissCurve::from_histogram(0, 0, &vec![0; horizon + 1], 0));
         }
-        // Parallel summary pass: per-chunk first/last touches.
-        let mut chunks = self.map_chunks(len, |k, lo, buf| {
-            trace.fill(lo, buf);
-            opt_chunk_pass(k, lo, buf, token)
-        })?;
+        // Parallel summary pass: per-chunk first touches.
+        let mut chunks =
+            self.map_chunks(trace, |lo, scratch| opt_chunk_pass(lo, scratch, token))?;
 
         // Backward threading sweep: the next use after each chunk's last
         // touch of a cell is the first touch in the nearest later chunk.
@@ -289,8 +311,8 @@ impl ShardedCurveEngine {
         let mut future: Vec<u64> = vec![NONE64; cells];
         for ch in chunks.iter_mut().rev() {
             token.check(Seam::OptPass)?;
-            ch.nu_of_last = ch
-                .lasts
+            ch.nu_after = ch
+                .firsts
                 .iter()
                 .map(|&(cell, _)| future[cell as usize])
                 .collect();
@@ -298,7 +320,6 @@ impl ShardedCurveEngine {
                 future[cell as usize] = packed;
             }
         }
-        drop(future);
 
         // Forward streaming stack pass (sequential — the Mattson
         // displacement chain is history-dependent), u64 priorities, the
@@ -314,30 +335,28 @@ impl ShardedCurveEngine {
                 .min(usize::try_from(len).unwrap_or(usize::MAX))
         ];
         let mut chain: Vec<u64> = Vec::new();
-        let mut head: HashMap<u64, u32> = HashMap::new();
+        // From here on `future` is the reverse sweep's cell → packed next
+        // use table; every cell a chunk touches is re-seeded before its
+        // sweep, so the table is never cleared.
+        let next = &mut future;
         for (k, ch) in chunks.iter().enumerate() {
             let lo = k as u64 * self.chunk_len as u64;
             let n = self.chunk_len.min((len - lo) as usize);
             let buf = &mut buf[..n];
             trace.fill(lo, buf);
-            // Local next-use threading: a reverse sweep resolves
-            // within-chunk successors; last touches take the cross-chunk
-            // position the backward sweep assigned.
-            let nu_after: HashMap<u64, u64> = ch
-                .lasts
-                .iter()
-                .zip(&ch.nu_of_last)
-                .map(|(&(cell, _), &nu)| (cell, nu))
-                .collect();
+            // Local next-use threading: seed each cell with the cross-chunk
+            // position the backward sweep assigned to its last touch, then
+            // a reverse sweep resolves the within-chunk successors.
+            for (&(cell, _), &nu) in ch.firsts.iter().zip(&ch.nu_after) {
+                next[cell as usize] = nu;
+            }
             chain.clear();
             chain.resize(n, NONE64);
-            head.clear();
             for t in (0..n).rev() {
-                let cell = buf[t] >> 1;
-                chain[t] = match head.insert(cell, t as u32) {
-                    Some(nt) => ((lo + nt as u64) << 1) | (buf[nt as usize] & 1),
-                    None => nu_after[&cell],
-                };
+                let packed = buf[t];
+                let cell = (packed >> 1) as usize;
+                chain[t] = next[cell];
+                next[cell] = ((lo + t as u64) << 1) | (packed & 1);
             }
             for (t, &packed) in buf.iter().enumerate() {
                 if t & POLL_MASK == 0 {
@@ -412,75 +431,107 @@ impl ShardedCurveEngine {
         Ok(MissCurve::from_histogram(cold, beyond, &hist, len))
     }
 
-    /// Runs `pass` over every chunk in parallel (rayon bridge), collecting
-    /// per-chunk summaries in chunk order; the first error wins.
+    /// Runs `pass` over every chunk of `trace` in parallel, collecting
+    /// per-chunk summaries in chunk order. Each worker pulls chunk indices
+    /// from a shared cursor and reuses one [`ShardScratch`] for all of
+    /// them; `pass` sees the chunk's global start and the scratch with the
+    /// chunk loaded into `buf`. The first error stops every worker at its
+    /// next chunk, and the error of the lowest failed chunk wins.
     fn map_chunks<C: Send>(
         &self,
-        len: u64,
-        pass: impl Fn(usize, u64, &mut [u64]) -> Result<C, AnalysisError> + Sync,
+        trace: &(impl ChunkedTrace + ?Sized),
+        pass: impl Fn(u64, &mut ShardScratch) -> Result<C, AnalysisError> + Sync,
     ) -> Result<Vec<C>, AnalysisError> {
+        let len = trace.len();
         let n_chunks = usize::try_from(len.div_ceil(self.chunk_len as u64))
             .expect("chunk count exceeds the address space");
-        (0..n_chunks)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|k| {
+        let cursor = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        let worker = || {
+            let mut scratch = ShardScratch::default();
+            let mut done: Vec<(usize, Result<C, AnalysisError>)> = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                let k = cursor.fetch_add(1, Ordering::Relaxed);
+                if k >= n_chunks {
+                    break;
+                }
                 let lo = k as u64 * self.chunk_len as u64;
                 let n = self.chunk_len.min((len - lo) as usize);
                 // Panics are mapped to typed errors *inside* the chunk
                 // worker: the thread-scope bridge underneath would
                 // otherwise replace the payload with a generic "a scoped
                 // thread panicked".
-                iolb_govern::catch_analysis_mut(|| {
-                    let mut buf = vec![0u64; n];
-                    pass(k, lo, &mut buf)
-                })
-            })
-            .collect::<Vec<Result<C, AnalysisError>>>()
+                let r = iolb_govern::catch_analysis_mut(|| {
+                    scratch.buf.resize(n, 0);
+                    trace.fill(lo, &mut scratch.buf[..n]);
+                    pass(lo, &mut scratch)
+                });
+                // A failed pass leaves its cells marked in the table, so
+                // this worker takes no further chunk.
+                let failed = r.is_err();
+                done.push((k, r));
+                if failed {
+                    stop.store(true, Ordering::Relaxed);
+                    break;
+                }
+            }
+            done
+        };
+        let workers = rayon::current_num_threads().clamp(1, n_chunks.max(1));
+        let mut done: Vec<(usize, Result<C, AnalysisError>)> = (0..workers)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|_| worker())
+            .collect::<Vec<_>>()
             .into_iter()
-            .collect()
+            .flatten()
+            .collect();
+        done.sort_unstable_by_key(|&(k, _)| k);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 }
 
-/// Local LRU pass over one chunk: exact within-chunk reuse distances via
-/// a chunk-local Fenwick, plus the boundary summaries the merge needs.
+/// Local LRU pass over the chunk in `scratch.buf`: exact within-chunk
+/// reuse distances via a chunk-local Fenwick, plus the boundary summaries
+/// the merge needs. `scratch.table` holds each cell's last local position
+/// during the pass and is back to all-[`NIL32`] when it returns `Ok`.
 fn lru_chunk_pass(
-    _k: usize,
-    buf: &[u64],
+    scratch: &mut ShardScratch,
     horizon: usize,
     token: &CancelToken,
 ) -> Result<LruChunk, AnalysisError> {
-    let mut last: HashMap<u64, u32> = HashMap::new();
+    let ShardScratch { buf, table, bit } = scratch;
+    let max_cell = cover_cells(table, buf);
     let mut firsts: Vec<(u64, bool)> = Vec::new();
-    let mut bit = Fenwick::default();
     bit.reset(buf.len());
     let mut hist = vec![0u64; horizon + 1];
     let mut beyond = 0u64;
-    let mut max_cell = 0u64;
     for (t, &packed) in buf.iter().enumerate() {
         if t & POLL_MASK == 0 {
             token.check(Seam::LruPass)?;
         }
         let (cell, write) = (packed >> 1, packed & 1 == 1);
-        max_cell = max_cell.max(cell);
-        match last.insert(cell, t as u32) {
-            Some(lp) => {
-                let between = bit.prefix(t - 1) - bit.prefix(lp as usize);
-                let d = between as usize + 1;
-                if !write {
-                    if d <= horizon {
-                        hist[d] += 1;
-                    } else {
-                        beyond += 1;
-                    }
+        let lp = std::mem::replace(&mut table[cell as usize], t as u32);
+        if lp == NIL32 {
+            firsts.push((cell, write));
+        } else {
+            let between = bit.prefix(t - 1) - bit.prefix(lp as usize);
+            let d = between as usize + 1;
+            if !write {
+                if d <= horizon {
+                    hist[d] += 1;
+                } else {
+                    beyond += 1;
                 }
-                bit.add(lp as usize, -1);
             }
-            None => firsts.push((cell, write)),
+            bit.add(lp as usize, -1);
         }
         bit.add(t, 1);
     }
-    let mut by_last: Vec<(u32, u64)> = last.into_iter().map(|(cell, lp)| (lp, cell)).collect();
+    let mut by_last: Vec<(u32, u64)> = firsts
+        .iter()
+        .map(|&(cell, _)| (std::mem::replace(&mut table[cell as usize], NIL32), cell))
+        .collect();
     by_last.sort_unstable();
     Ok(LruChunk {
         firsts,
@@ -491,30 +542,33 @@ fn lru_chunk_pass(
     })
 }
 
-/// Summary pass over one chunk for the OPT threading phase.
+/// Summary pass over the chunk in `scratch.buf` (global start `lo`) for
+/// the OPT threading phase. `scratch.table` marks the cells seen so far
+/// and is back to all-[`NIL32`] when the pass returns `Ok`.
 fn opt_chunk_pass(
-    _k: usize,
     lo: u64,
-    buf: &[u64],
+    scratch: &mut ShardScratch,
     token: &CancelToken,
 ) -> Result<OptChunk, AnalysisError> {
-    let mut last: HashMap<u64, u32> = HashMap::new();
+    let ShardScratch { buf, table, .. } = scratch;
+    let max_cell = cover_cells(table, buf);
     let mut firsts: Vec<(u64, u64)> = Vec::new();
-    let mut max_cell = 0u64;
     for (t, &packed) in buf.iter().enumerate() {
         if t & POLL_MASK == 0 {
             token.check(Seam::OptPass)?;
         }
         let cell = packed >> 1;
-        max_cell = max_cell.max(cell);
-        if last.insert(cell, t as u32).is_none() {
+        if table[cell as usize] == NIL32 {
+            table[cell as usize] = 0;
             firsts.push((cell, ((lo + t as u64) << 1) | (packed & 1)));
         }
     }
+    for &(cell, _) in &firsts {
+        table[cell as usize] = NIL32;
+    }
     Ok(OptChunk {
         firsts,
-        lasts: last.into_iter().collect(),
-        nu_of_last: Vec::new(),
+        nu_after: Vec::new(),
         max_cell,
     })
 }

@@ -52,16 +52,17 @@ impl Expr {
         Expr::Var(v)
     }
 
-    /// Lifts a polynomial into an expression.
+    /// Lifts a polynomial into an expression, terms and factors in the
+    /// polynomial's render order (by variable name, independent of
+    /// interning history).
     pub fn from_poly(p: &Poly) -> Expr {
         let mut sum = Vec::new();
-        for (m, c) in p.terms() {
+        for (factors, coeff) in p.render_terms() {
             let mut prod = Vec::new();
-            if !c.is_one() || m.vars().next().is_none() {
-                prod.push(Expr::Const(*c));
+            if !coeff.is_one() || factors.is_empty() {
+                prod.push(Expr::Const(coeff));
             }
-            for v in m.vars() {
-                let e = m.exponent(v);
+            for (v, e) in factors {
                 if e == 1 {
                     prod.push(Expr::Var(v));
                 } else {

@@ -504,16 +504,16 @@ impl fmt::Display for Poly {
         if self.terms.is_empty() {
             return write!(f, "0");
         }
-        // Sort for display: total degree descending, then map order.
-        let mut ts: Vec<(&Monomial, &Rational)> = self.terms.iter().collect();
-        ts.sort_by(|(ma, _), (mb, _)| {
-            mb.total_degree()
-                .cmp(&ma.total_degree())
-                .then_with(|| mb.cmp(ma))
+        // Sort for display: total degree descending, then reverse render
+        // order (the sort is stable).
+        let mut ts = self.render_terms();
+        ts.reverse();
+        ts.sort_by_key(|(factors, _)| {
+            std::cmp::Reverse(factors.iter().map(|&(_, e)| e).sum::<u32>())
         });
-        for (i, (m, c)) in ts.iter().enumerate() {
-            let neg = c.is_negative();
-            let mag = c.abs();
+        for (i, (factors, coeff)) in ts.iter().enumerate() {
+            let neg = coeff.is_negative();
+            let mag = coeff.abs();
             if i == 0 {
                 if neg {
                     write!(f, "-")?;
@@ -524,16 +524,16 @@ impl fmt::Display for Poly {
                 write!(f, " + ")?;
             }
             let mono_str = {
-                let parts: Vec<String> =
-                    m.0.iter()
-                        .map(|(v, e)| {
-                            if *e == 1 {
-                                format!("{v}")
-                            } else {
-                                format!("{v}^{e}")
-                            }
-                        })
-                        .collect();
+                let parts: Vec<String> = factors
+                    .iter()
+                    .map(|(v, e)| {
+                        if *e == 1 {
+                            format!("{v}")
+                        } else {
+                            format!("{v}^{e}")
+                        }
+                    })
+                    .collect();
                 parts.join("*")
             };
             if mono_str.is_empty() {
@@ -545,6 +545,46 @@ impl fmt::Display for Poly {
             }
         }
         Ok(())
+    }
+}
+
+impl Poly {
+    /// The terms in render order, each as its factors in render order and
+    /// its coefficient.
+    ///
+    /// The map order of [`Poly`] follows [`Var`]'s interner index, so it
+    /// depends on which names the process interned first. Rendering
+    /// instead ranks variables by *name*, descending (`N` before `M`
+    /// before `K`), and orders terms by their factors' ranks the way the
+    /// map orders them by index: the same polynomial renders the same text
+    /// whatever the process analyzed before. Names are fetched once per
+    /// variable and the sort runs without the interner lock.
+    pub(crate) fn render_terms(&self) -> Vec<(Vec<(Var, u32)>, Rational)> {
+        let vars = self.vars();
+        let names: Vec<String> = vars.iter().map(Var::name).collect();
+        let mut by_name: Vec<usize> = (0..vars.len()).collect();
+        by_name.sort_by(|&a, &b| names[b].cmp(&names[a]));
+        let mut rank = vec![0usize; vars.len()];
+        for (r, &i) in by_name.iter().enumerate() {
+            rank[i] = r;
+        }
+        let rank_of = |v: Var| rank[vars.binary_search(&v).expect("variable of this poly")];
+        let mut terms: Vec<(Vec<(Var, u32)>, Rational)> = self
+            .terms
+            .iter()
+            .map(|(m, c)| {
+                let mut factors = m.0.clone();
+                factors.sort_by_key(|&(v, _)| rank_of(v));
+                (factors, *c)
+            })
+            .collect();
+        terms.sort_by_cached_key(|(factors, _)| {
+            factors
+                .iter()
+                .map(|&(v, e)| (rank_of(v), e))
+                .collect::<Vec<_>>()
+        });
+        terms
     }
 }
 
@@ -633,6 +673,31 @@ mod tests {
         let p = Poly::var(m()) + Poly::int(1);
         assert_eq!(p.scale(rat(1, 2)).eval_ints(&[(m(), 3)]), rat(2, 1));
         assert_eq!((-&p).eval_ints(&[(m(), 3)]), Rational::int(-4));
+    }
+
+    /// Render order follows variable names, not interning order: the same
+    /// polynomial over names interned in opposite orders renders the same
+    /// text, both as a `Poly` and lifted into an `Expr`.
+    #[test]
+    fn render_order_ignores_interning_history() {
+        let render = |first: &str, second: &str| {
+            // Intern `first` before `second`, then build `b²·a + a·b - b`
+            // where `a` has the smaller name and `b` the larger.
+            let (x, y) = (var(first), var(second));
+            let (a, b) = if first < second { (x, y) } else { (y, x) };
+            let p = &(&Poly::var(b).pow(2) * &Poly::var(a))
+                + &(&(&Poly::var(a) * &Poly::var(b)) - &Poly::var(b));
+            let names = |t: String| t.replace(&a.name(), "A").replace(&b.name(), "B");
+            (
+                names(p.to_string()),
+                names(crate::expr::Expr::from_poly(&p).to_string()),
+            )
+        };
+        let forward = render("ro_fa", "ro_fb");
+        let backward = render("ro_gb", "ro_ga");
+        assert_eq!(forward, backward);
+        assert_eq!(forward.0, "B^2*A + B*A - B", "names descending: B before A");
+        assert_eq!(forward.1, "-1·B + B·A + B^2·A");
     }
 
     fn arb_poly(vs: [Var; 2]) -> impl Strategy<Value = Poly> {
