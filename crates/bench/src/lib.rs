@@ -79,12 +79,8 @@ pub fn sweep_tiled_mgs(m: usize, n: usize, s_values: &[usize]) -> Vec<TiledIoRow
         .map(|&s| {
             let block = iolb_kernels::mgs::a1_block_size(m, s);
             let params = vec![m as i64, n as i64, block as i64];
-            let init = |a0: &iolb_kernels::Matrix| {
-                let d = a0.data.clone();
-                move |arr: iolb_ir::ArrayId, f: usize| if arr.0 == 0 { d[f] } else { 0.0 }
-            };
-            let lru = iolb_kernels::sinks::measure_lru_io(&program, &params, s, init(&a));
-            let min = iolb_kernels::sinks::measure_min_io(&program, &params, s, init(&a));
+            let init = |arr: iolb_ir::ArrayId, f: usize| if arr.0 == 0 { a.data[f] } else { 0.0 };
+            let (lru, min) = iolb_kernels::sinks::measure_lru_min_io(&program, &params, s, init);
             let env = [
                 (Var::new("M"), m as i128),
                 (Var::new("N"), n as i128),
@@ -115,12 +111,8 @@ pub fn sweep_tiled_a2v(m: usize, n: usize, s_values: &[usize]) -> Vec<TiledIoRow
         .map(|&s| {
             let block = iolb_kernels::householder::a2_block_size(m, s);
             let params = vec![m as i64, n as i64, block as i64];
-            let init = |a0: &iolb_kernels::Matrix| {
-                let d = a0.data.clone();
-                move |arr: iolb_ir::ArrayId, f: usize| if arr.0 == 0 { d[f] } else { 0.0 }
-            };
-            let lru = iolb_kernels::sinks::measure_lru_io(&program, &params, s, init(&a));
-            let min = iolb_kernels::sinks::measure_min_io(&program, &params, s, init(&a));
+            let init = |arr: iolb_ir::ArrayId, f: usize| if arr.0 == 0 { a.data[f] } else { 0.0 };
+            let (lru, min) = iolb_kernels::sinks::measure_lru_min_io(&program, &params, s, init);
             let env = [
                 (Var::new("M"), m as i128),
                 (Var::new("N"), n as i128),

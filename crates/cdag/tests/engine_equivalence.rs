@@ -1,15 +1,9 @@
-//! Property tests: the slab/bucket pebble engine must be *indistinguishable*
-//! from the straightforward ordered-map reference engine.
-//!
-//! The fast engine ([`PebbleGame::play`]) replaces the reference's
-//! `HashMap` + `BTreeSet` red set with an intrusive LRU list and a
-//! next-use-bucketed bitmap structure; these tests assert both produce
-//! identical [`PlayStats`] — loads, computes, and peak residency — on
-//! randomized small CDAGs under both spill policies, plus the MIN ≤ LRU
-//! optimality invariant.
+//! Property tests of the pebble engine on randomized small CDAGs and on
+//! the paper kernels: MIN ≤ LRU, MIN loads monotone in the budget, and the
+//! model bridge to the trace miss curves. Exact per-policy stats are pinned
+//! by hand on a small fixture in `pebble.rs`.
 
-use iolb_cdag::pebble::reference;
-use iolb_cdag::{Cdag, NodeId, NodeSpec, PebbleGame, SpillPolicy};
+use iolb_cdag::{Cdag, NodeSpec, PebbleGame, SpillPolicy};
 use iolb_ir::{ArrayId, StmtId};
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -47,30 +41,6 @@ fn random_cdag(seed: u64, n_inputs: usize, n_computes: usize, max_preds: usize) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Fast engine == reference engine, both policies, many budgets.
-    #[test]
-    fn engines_produce_identical_stats(
-        seed in 0u64..1_000_000,
-        n_inputs in 1usize..6,
-        n_computes in 1usize..40,
-        max_preds in 0usize..4,
-    ) {
-        let g = random_cdag(seed, n_inputs, n_computes, max_preds);
-        let order: Vec<NodeId> = g.compute_nodes().collect();
-        let min_s = g.max_in_degree() + 1;
-        for s in min_s..min_s + 5 {
-            for policy in [SpillPolicy::Lru, SpillPolicy::MinNextUse] {
-                let fast = PebbleGame::new(&g, s).play(&order, policy);
-                let slow = reference::play(&g, s, &order, policy);
-                prop_assert_eq!(
-                    &fast, &slow,
-                    "seed={} n={}+{} maxp={} S={} {:?}",
-                    seed, n_inputs, n_computes, max_preds, s, policy
-                );
-            }
-        }
-    }
-
     /// MIN (farthest next use) never loads more than LRU on the same play.
     #[test]
     fn min_policy_never_beaten_by_lru(
@@ -87,8 +57,8 @@ proptest! {
         }
     }
 
-    /// Loads are monotone non-increasing in the red budget (both engines'
-    /// MIN policy is a demand stack algorithm for a fixed order).
+    /// Loads are monotone non-increasing in the red budget (the MIN policy
+    /// is a demand stack algorithm for a fixed order).
     #[test]
     fn min_loads_monotone_in_budget(
         seed in 0u64..1_000_000,
@@ -146,10 +116,9 @@ proptest! {
     }
 }
 
-/// On every paper kernel: both engines agree at several budgets, MIN ≤ LRU,
-/// and every play's loads bound the derived bounds from above (soundness is
+/// On every paper kernel, at several budgets: MIN ≤ LRU (soundness is
 /// asserted against the real derivation in `iolb-bench`'s sweep; here we
-/// assert the engines' mutual consistency on real kernel CDAGs).
+/// assert the policies' consistency on real kernel CDAGs).
 #[test]
 fn engines_agree_on_all_paper_kernels() {
     let cases: Vec<(iolb_ir::Program, Vec<i64>)> = vec![
@@ -162,14 +131,8 @@ fn engines_agree_on_all_paper_kernels() {
     ];
     for (program, params) in cases {
         let g = iolb_cdag::build_cdag(&program, &params);
-        let order: Vec<NodeId> = g.compute_nodes().collect();
         let min_s = g.max_in_degree() + 1;
         for s in [min_s, min_s + 3, min_s + 11] {
-            for policy in [SpillPolicy::Lru, SpillPolicy::MinNextUse] {
-                let fast = PebbleGame::new(&g, s).play(&order, policy).unwrap();
-                let slow = reference::play(&g, s, &order, policy).unwrap();
-                assert_eq!(fast, slow, "{} S={s} {policy:?}", program.name);
-            }
             let lru = PebbleGame::new(&g, s)
                 .play_program_order(SpillPolicy::Lru)
                 .unwrap();

@@ -3,8 +3,6 @@
 //! into an [`AnalysisOptions`] for the service pipeline; the flags,
 //! diagnostics, and usage text here are the CLI's own contract.
 
-use iolb_bench::sweep::CurveStrategy;
-use iolb_core::govern::{Budget, Fault};
 use iolb_service::AnalysisOptions;
 use std::path::PathBuf;
 
@@ -39,11 +37,6 @@ OPTIONS:
     --engines SPEC        graph-level bound engines for the sweep report:
                           `all` (default), `none`, or a comma list drawn
                           from input-floor, visit, spectral
-    --curve-strategy MODE curve-pricing path of the validation sweep:
-                          `streaming` (default — sharded passes fed
-                          straight from the CDAG, cross-checked against
-                          the materialized engine on small traces) or
-                          `materialized` (force the reference engine)
     -h, --help            this text
 
 RESOURCE GOVERNANCE (admission control refuses or down-scopes a kernel
@@ -71,61 +64,14 @@ EXIT CODES:
 pub struct Options {
     /// `.iolb` files to process.
     pub files: Vec<PathBuf>,
-    /// `--params` overrides.
-    pub params_override: Vec<(String, i64)>,
-    /// `--stmt` override.
-    pub stmt_override: Option<String>,
-    /// `--s-grid` offsets.
-    pub s_offsets: Vec<usize>,
     /// `--json` output path.
     pub json: Option<PathBuf>,
     /// `--tightness-json` output path.
     pub tightness_json: Option<PathBuf>,
-    /// `--no-tightness` flag.
-    pub no_tightness: bool,
-    /// `--derive-only` flag.
-    pub derive_only: bool,
-    /// `--engines` selection, stored canonically (see
-    /// [`iolb_core::EngineRegistry::select`]).
-    pub engines: String,
-    /// Resource budget from the `--max-*` / `--deadline-ms` flags.
-    pub budget: Budget,
-    /// `--no-degrade`: refuse instead of down-scoping.
-    pub no_degrade: bool,
-    /// `--curve-strategy`: streaming sharded engines (default) or the
-    /// materialized reference engine, forced.
-    pub curve_strategy: CurveStrategy,
-    /// `--inject`: one-shot fault armed on the batch's first file.
-    pub inject: Option<Fault>,
-}
-
-impl Options {
-    /// The service-pipeline view of these options. `inject` is *not*
-    /// carried over — [`crate::run_with_code`] arms it on the batch's
-    /// first file only.
-    pub fn analysis_options(&self) -> AnalysisOptions {
-        AnalysisOptions {
-            params_override: self.params_override.clone(),
-            stmt_override: self.stmt_override.clone(),
-            s_offsets: self.s_offsets.clone(),
-            no_tightness: self.no_tightness,
-            derive_only: self.derive_only,
-            engines: self.engines.clone(),
-            budget: self.budget,
-            no_degrade: self.no_degrade,
-            curve_strategy: self.curve_strategy,
-            inject: None,
-        }
-    }
-}
-
-/// Parses the next argument of `flag` as a `u64` ceiling.
-fn parse_ceiling(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<u64, String> {
-    it.next()
-        .ok_or_else(|| format!("{flag} needs a value"))?
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad {flag} value (want a non-negative integer)"))
+    /// Every analysis flag, parsed by the shared switchboard
+    /// ([`AnalysisOptions::set_flag`]). [`crate::run_with_code`] arms
+    /// its `inject` fault on the batch's first file only.
+    pub analysis: AnalysisOptions,
 }
 
 /// Parses command-line arguments (everything after the binary name).
@@ -135,53 +81,13 @@ fn parse_ceiling(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<u6
 pub fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut o = Options {
         files: Vec::new(),
-        params_override: Vec::new(),
-        stmt_override: None,
-        s_offsets: iolb_bench::sweep::dense_s_offsets(),
         json: None,
         tightness_json: None,
-        no_tightness: false,
-        derive_only: false,
-        engines: "all".to_string(),
-        budget: Budget::unlimited(),
-        no_degrade: false,
-        curve_strategy: CurveStrategy::default(),
-        inject: None,
+        analysis: AnalysisOptions::default(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--params" => {
-                let v = it.next().ok_or("--params needs a value")?;
-                for kv in v.split(',') {
-                    let (k, val) = kv
-                        .split_once('=')
-                        .ok_or_else(|| format!("bad --params entry `{kv}` (want NAME=INT)"))?;
-                    let val: i64 = val
-                        .trim()
-                        .parse()
-                        .map_err(|_| format!("bad integer in --params entry `{kv}`"))?;
-                    o.params_override.push((k.trim().to_string(), val));
-                }
-            }
-            "--stmt" => {
-                o.stmt_override = Some(it.next().ok_or("--stmt needs a value")?.clone());
-            }
-            "--s-grid" => {
-                let v = it.next().ok_or("--s-grid needs a value")?;
-                o.s_offsets = match v.trim() {
-                    "dense" => iolb_bench::sweep::dense_s_offsets(),
-                    "coarse" => iolb_bench::sweep::coarse_s_offsets(),
-                    list => list
-                        .split(',')
-                        .map(|x| x.trim().parse::<usize>())
-                        .collect::<Result<_, _>>()
-                        .map_err(|_| format!("bad --s-grid list `{v}`"))?,
-                };
-                if o.s_offsets.is_empty() {
-                    return Err("--s-grid needs at least one offset".to_string());
-                }
-            }
             "--json" => {
                 o.json = Some(PathBuf::from(it.next().ok_or("--json needs a path")?));
             }
@@ -190,68 +96,33 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                     it.next().ok_or("--tightness-json needs a path")?,
                 ));
             }
-            "--no-tightness" => o.no_tightness = true,
-            "--derive-only" => o.derive_only = true,
-            "--engines" => {
-                let v = it.next().ok_or("--engines needs a value")?;
-                // Validated and canonicalized up front, so permuted but
-                // equivalent selections share a cache fingerprint.
-                o.engines = iolb_core::EngineRegistry::select(v)?.fingerprint();
-            }
-            "--max-instances" => o.budget.max_instances = parse_ceiling(&mut it, a)?,
-            "--max-cdag-nodes" => o.budget.max_cdag_nodes = parse_ceiling(&mut it, a)?,
-            "--max-cdag-edges" => o.budget.max_cdag_edges = parse_ceiling(&mut it, a)?,
-            "--max-trace" => o.budget.max_trace_len = parse_ceiling(&mut it, a)?,
-            "--max-arena-bytes" => o.budget.max_arena_bytes = parse_ceiling(&mut it, a)?,
-            "--max-work" => o.budget.max_work = parse_ceiling(&mut it, a)?,
-            "--deadline-ms" => o.budget.deadline_ms = parse_ceiling(&mut it, a)?,
-            "--no-degrade" => o.no_degrade = true,
-            "--curve-strategy" => {
-                let v = it.next().ok_or("--curve-strategy needs a value")?;
-                o.curve_strategy = match v.trim() {
-                    "streaming" => CurveStrategy::Streaming,
-                    "materialized" => CurveStrategy::Materialized,
-                    other => {
-                        return Err(format!(
-                            "bad --curve-strategy `{other}` (want streaming|materialized)"
-                        ))
-                    }
-                };
-            }
-            "--inject" => {
-                let v = it.next().ok_or("--inject needs CLASS or CLASS@SEAM")?;
-                o.inject = Some(Fault::parse(v).ok_or_else(|| {
-                    format!(
-                        "bad --inject spec `{v}` (want panic|oom|deadline, \
-                         optionally @admission|instances|cdag_fill|lru_pass|opt_pass|tuner)"
-                    )
-                })?);
-            }
             "-h" | "--help" => return Err(USAGE.to_string()),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option `{other}`\n\n{USAGE}"))
-            }
+            flag if flag.starts_with('-') => o
+                .analysis
+                .set_flag(flag, &mut it)
+                .map_err(|e| format!("{e}\n\n{USAGE}"))?,
             file => o.files.push(PathBuf::from(file)),
         }
     }
     if o.files.is_empty() {
         return Err(USAGE.to_string());
     }
-    if o.derive_only && o.json.is_some() {
+    let a = &o.analysis;
+    if a.derive_only && o.json.is_some() {
         return Err(
             "--derive-only skips validation, so --json would write an empty report; \
              drop one of the two flags"
                 .to_string(),
         );
     }
-    if o.derive_only && o.tightness_json.is_some() {
+    if a.derive_only && o.tightness_json.is_some() {
         return Err(
             "--derive-only skips validation, so --tightness-json would write an empty report; \
              drop one of the two flags"
                 .to_string(),
         );
     }
-    if o.no_tightness && o.tightness_json.is_some() {
+    if a.no_tightness && o.tightness_json.is_some() {
         return Err("--no-tightness contradicts --tightness-json".to_string());
     }
     Ok(o)

@@ -31,7 +31,7 @@ fn cholesky_full_pipeline_is_sound() {
     // The shipped default (N = 64) is the benchmark-suite size; the
     // debug-build test pins a smaller one.
     let mut opts = small_opts();
-    opts.params_override = vec![("N".to_string(), 32)];
+    opts.analysis.params_override = vec![("N".to_string(), 32)];
     let outcome = run_ok("cholesky.iolb", &opts);
     assert_eq!(outcome.name, "cholesky");
     assert!(outcome.sound, "every cell must be sound");
@@ -56,7 +56,7 @@ fn cholesky_full_pipeline_is_sound() {
 #[test]
 fn lu_and_syrk_full_pipeline_is_sound() {
     let mut opts = small_opts();
-    opts.params_override = vec![("N".to_string(), 24)];
+    opts.analysis.params_override = vec![("N".to_string(), 24)];
     for file in ["lu_nopiv.iolb", "syrk.iolb"] {
         let outcome = run_ok(file, &opts);
         assert!(outcome.sound, "{file}: every cell must be sound");
@@ -101,7 +101,7 @@ fn jacobi_stencil_degrades_gracefully() {
 #[test]
 fn params_override_applies() {
     let mut opts = small_opts();
-    opts.params_override = vec![("N".to_string(), 12)];
+    opts.analysis.params_override = vec![("N".to_string(), 12)];
     let outcome = run_ok("cholesky.iolb", &opts);
     assert!(outcome.sound);
     assert!(rows(&outcome).iter().all(|r| r.params == vec![12]));
@@ -147,7 +147,7 @@ fn missing_file_and_bad_args_are_errors() {
 #[test]
 fn unknown_params_override_is_an_error() {
     let mut opts = small_opts();
-    opts.params_override = vec![("NN".to_string(), 12)];
+    opts.analysis.params_override = vec![("NN".to_string(), 12)];
     let err = run_file(&kernels_dir().join("cholesky.iolb"), &opts).unwrap_err();
     assert_eq!(err.class_name(), "refused", "{err}");
     assert!(err.to_string().contains("unknown parameter NN"), "{err}");
@@ -156,8 +156,8 @@ fn unknown_params_override_is_an_error() {
 #[test]
 fn no_tightness_skips_the_measurement() {
     let mut opts = small_opts();
-    opts.params_override = vec![("N".to_string(), 24)];
-    opts.no_tightness = true;
+    opts.analysis.params_override = vec![("N".to_string(), 24)];
+    opts.analysis.no_tightness = true;
     let outcome = run_ok("cholesky.iolb", &opts);
     assert!(outcome.tightness.is_none());
     assert!(!outcome.output.contains("tightness"));
@@ -346,5 +346,31 @@ fn sweep_json_wall_time_is_the_batch_wall() {
     assert!(
         wall_ms <= measured_ms,
         "reported wall {wall_ms} ms exceeds the measured batch wall {measured_ms} ms"
+    );
+}
+
+/// Analysis flags go through the shared switchboard, so the CLI reports
+/// what the switchboard accepts: a bad `--inject` spec lists every seam,
+/// the store seams included, and the retired `--curve-strategy` flag is
+/// an unknown option.
+#[test]
+fn bad_inject_spec_lists_every_seam() {
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_iolb"))
+            .args(args)
+            .output()
+            .expect("spawn iolb");
+        let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+        (out.status.code(), stderr)
+    };
+    let (code, stderr) = run(&["--inject", "bogus", "x.iolb"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("bad inject spec `bogus`"), "{stderr}");
+    assert!(stderr.contains("store_append"), "{stderr}");
+    let (code, stderr) = run(&["--curve-strategy", "materialized", "x.iolb"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown option `curve-strategy`"),
+        "{stderr}"
     );
 }

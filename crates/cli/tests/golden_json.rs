@@ -102,7 +102,7 @@ fn degraded_and_failed_batch_matches_golden() {
         "x".to_string(),
     ])
     .unwrap();
-    sound_opts.no_tightness = true;
+    sound_opts.analysis.no_tightness = true;
     let sound = run_file(&kernels_dir().join("cholesky.iolb"), &sound_opts).expect("pipeline");
     assert_eq!(sound.degradation, Degradation::Full);
 

@@ -77,9 +77,9 @@ OPTIONS:
 Any analysis option the CLI accepts as a flag is accepted here (without
 the leading `--` it is the same key a request may pass in its query
 string) and becomes the per-request default: --s-grid, --engines,
---no-tightness, --derive-only, --no-degrade, --curve-strategy,
---max-instances, --max-cdag-nodes, --max-cdag-edges, --max-trace,
---max-arena-bytes, --max-work, --deadline-ms.
+--no-tightness, --derive-only, --no-degrade, --max-instances,
+--max-cdag-nodes, --max-cdag-edges, --max-trace, --max-arena-bytes,
+--max-work, --deadline-ms.
 
 ENDPOINTS:
     POST /analyze         body = typed JSON request ({\"source\": …,
@@ -133,10 +133,6 @@ impl Default for ServerOptions {
         }
     }
 }
-
-/// Keys that are presence-only flags on the command line (everything
-/// else consumes a value argument).
-const FLAG_KEYS: &[&str] = &["no-tightness", "derive-only", "no-degrade"];
 
 /// Parses daemon command-line arguments.
 ///
@@ -195,22 +191,13 @@ pub fn parse_server_args(args: &[String]) -> Result<ServerOptions, String> {
                     .map_err(|_| "bad --request-deadline-ms value".to_string())?;
             }
             "-h" | "--help" => return Err(USAGE.to_string()),
-            flag if flag.starts_with("--") => {
-                let key = &flag[2..];
-                if key == "inject" {
-                    return Err("--inject is per-request only (query parameter)".to_string());
-                }
-                let value = if FLAG_KEYS.contains(&key) {
-                    String::new()
-                } else {
-                    it.next()
-                        .ok_or_else(|| format!("{flag} needs a value"))?
-                        .clone()
-                };
-                o.defaults
-                    .set(key, &value)
-                    .map_err(|e| format!("{e}\n\n{USAGE}"))?;
+            "--inject" => {
+                return Err("--inject is per-request only (query parameter)".to_string());
             }
+            flag if flag.starts_with("--") => o
+                .defaults
+                .set_flag(flag, &mut it)
+                .map_err(|e| format!("{e}\n\n{USAGE}"))?,
             other => return Err(format!("unexpected argument `{other}`\n\n{USAGE}")),
         }
     }

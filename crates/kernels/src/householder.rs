@@ -751,9 +751,13 @@ mod tests {
             let a = a0.clone();
             move |arr: iolb_ir::ArrayId, f: usize| if arr.0 == 0 { a.data[f] } else { 0.0 }
         };
-        let untiled =
-            crate::sinks::measure_lru_io(&a2v_program(), &[m as i64, n as i64], s, mk_init(&a0));
-        let tiled = crate::sinks::measure_lru_io(
+        let (untiled, _) = crate::sinks::measure_lru_min_io(
+            &a2v_program(),
+            &[m as i64, n as i64],
+            s,
+            mk_init(&a0),
+        );
+        let (tiled, _) = crate::sinks::measure_lru_min_io(
             &a2v_tiled_program(),
             &[m as i64, n as i64, block],
             s,

@@ -18,8 +18,9 @@
 //! | [`gehd2`] | reduction to Hessenberg form (Fig. 7) |
 //! | [`gemm`] | matrix multiply — the classical K-partitioning baseline (no hourglass) |
 //!
-//! [`sinks::MemSimSink`] bridges the IR interpreter to the two-level cache
-//! simulator so any kernel/schedule's I/O can be measured directly.
+//! [`sinks::measure_lru_min_io`] bridges the IR interpreter to the
+//! two-level cache simulators so any kernel/schedule's I/O can be measured
+//! directly.
 
 pub mod exec;
 pub mod gebd2;

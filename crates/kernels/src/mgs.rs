@@ -415,12 +415,13 @@ mod tests {
         let (m, n, s) = (24usize, 12usize, 128usize);
         let block = a1_block_size(m, s) as i64;
         let a = Matrix::random(m, n, 5);
-        let untiled = crate::sinks::measure_lru_io(&program(), &[m as i64, n as i64], s, {
-            let a = a.clone();
-            move |arr, f| if arr.0 == 0 { a.data[f] } else { 0.0 }
-        });
-        let tiled =
-            crate::sinks::measure_lru_io(&tiled_program(), &[m as i64, n as i64, block], s, {
+        let (untiled, _) =
+            crate::sinks::measure_lru_min_io(&program(), &[m as i64, n as i64], s, {
+                let a = a.clone();
+                move |arr, f| if arr.0 == 0 { a.data[f] } else { 0.0 }
+            });
+        let (tiled, _) =
+            crate::sinks::measure_lru_min_io(&tiled_program(), &[m as i64, n as i64, block], s, {
                 let a = a.clone();
                 move |arr, f| if arr.0 == 0 { a.data[f] } else { 0.0 }
             });

@@ -1,105 +1,25 @@
-//! Bridges from the IR interpreter to the cache simulator.
-//!
-//! Two shapes, both single-materialization at worst:
-//!
-//! * [`MemSimSink`] streams every access straight into an LRU simulator —
-//!   no trace is ever materialized, so arbitrarily long executions fit in
-//!   memory,
-//! * [`measure_min_io`] / [`measure_lru_min_io`] run the interpreter once
-//!   into the packed `TraceSink` encoding and feed the simulators directly
-//!   from the packed words — the old intermediate `Vec<Access>` decode pass
-//!   is gone.
+//! Bridge from the IR interpreter to the cache simulators: one
+//! interpreter run fills a packed trace, and both policies replay it.
 
-use iolb_ir::{ArrayId, ExecSink, Program};
-use iolb_memsim::LruSim;
+use iolb_ir::{ArrayId, Program};
+use iolb_memsim::{BeladySim, IoStats, LruSim};
 
-/// [`ExecSink`] that streams every access straight into an LRU cache
-/// simulator — no trace materialization, so arbitrarily long executions fit
-/// in memory.
-#[derive(Debug)]
-pub struct MemSimSink {
-    sim: LruSim,
-    base: Vec<usize>,
-}
-
-impl MemSimSink {
-    /// Creates a streaming simulator for a program instantiation.
-    pub fn new(program: &Program, params: &[i64], capacity: usize) -> MemSimSink {
-        let mut base = Vec::with_capacity(program.arrays.len());
-        let mut acc = 0usize;
-        for i in 0..program.arrays.len() {
-            base.push(acc);
-            acc += program.array_len(ArrayId(i as u32), params).max(1);
-        }
-        MemSimSink {
-            // Pre-size the cell table: ids are dense in [0, total cells).
-            sim: LruSim::with_cells(capacity, acc),
-            base,
-        }
-    }
-
-    /// Final statistics (with dirty flush).
-    pub fn finish(self) -> iolb_memsim::IoStats {
-        self.sim.finish()
-    }
-}
-
-impl ExecSink for MemSimSink {
-    fn on_read(&mut self, array: ArrayId, flat: usize) {
-        self.sim.read(self.base[array.0 as usize] + flat);
-    }
-    fn on_write(&mut self, array: ArrayId, flat: usize) {
-        self.sim.write(self.base[array.0 as usize] + flat);
-    }
-}
-
-/// Runs `program` at `params` with input init `f(array, flat)` and returns
-/// the LRU I/O statistics for fast-memory capacity `s` (streaming — no
-/// trace materialization).
-pub fn measure_lru_io(
-    program: &Program,
-    params: &[i64],
-    s: usize,
-    init: impl FnMut(ArrayId, usize) -> f64,
-) -> iolb_memsim::IoStats {
-    let mut sink = MemSimSink::new(program, params, s);
-    let mut store = iolb_ir::Store::init(program, params, init);
-    iolb_ir::Interpreter::new(program, params).run(&mut store, &mut sink);
-    sink.finish()
-}
-
-/// Runs `program` and returns the Belady-MIN (optimal replacement) I/O
-/// statistics for capacity `s` — materializes the packed trace once and
-/// simulates straight from it.
-pub fn measure_min_io(
-    program: &Program,
-    params: &[i64],
-    s: usize,
-    init: impl FnMut(ArrayId, usize) -> f64,
-) -> iolb_memsim::IoStats {
-    let mut sink = iolb_ir::TraceSink::new(program, params);
-    let mut store = iolb_ir::Store::init(program, params, init);
-    iolb_ir::Interpreter::new(program, params).run(&mut store, &mut sink);
-    iolb_memsim::BeladySim::new(s).run_packed(&sink.packed)
-}
-
-/// Runs `program` once and returns `(LRU, MIN)` statistics for capacity `s`
-/// from the same packed trace — one interpreter execution, one trace, both
-/// policies.
+/// Runs `program` once at `params` with input init `f(array, flat)` and
+/// returns `(LRU, MIN)` statistics for fast-memory capacity `s` from the
+/// same packed trace — one interpreter execution, one trace, both
+/// policies (MIN is Belady's optimal replacement).
 pub fn measure_lru_min_io(
     program: &Program,
     params: &[i64],
     s: usize,
     init: impl FnMut(ArrayId, usize) -> f64,
-) -> (iolb_memsim::IoStats, iolb_memsim::IoStats) {
+) -> (IoStats, IoStats) {
     let mut sink = iolb_ir::TraceSink::new(program, params);
     let mut store = iolb_ir::Store::init(program, params, init);
     iolb_ir::Interpreter::new(program, params).run(&mut store, &mut sink);
     let mut lru = LruSim::with_cells(s, sink.num_cells);
     lru.run_packed(&sink.packed);
-    let lru_stats = lru.finish();
-    let min_stats = iolb_memsim::BeladySim::new(s).run_packed(&sink.packed);
-    (lru_stats, min_stats)
+    (lru.finish(), BeladySim::new(s).run_packed(&sink.packed))
 }
 
 #[cfg(test)]
@@ -128,13 +48,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_lru_measures_reuse() {
+    fn lru_measures_reuse() {
         let p = two_pass();
         // Capacity 4 < N=8 (+acc): thrash → 16 loads of x.
-        let small = measure_lru_io(&p, &[8], 4, |_, f| f as f64);
+        let (small, _) = measure_lru_min_io(&p, &[8], 4, |_, f| f as f64);
         assert_eq!(small.loads, 16);
         // Capacity 16 keeps x resident: 8 loads.
-        let big = measure_lru_io(&p, &[8], 16, |_, f| f as f64);
+        let (big, _) = measure_lru_min_io(&p, &[8], 16, |_, f| f as f64);
         assert_eq!(big.loads, 8);
     }
 
@@ -142,21 +62,8 @@ mod tests {
     fn min_never_worse_than_lru() {
         let p = two_pass();
         for s in [2usize, 3, 5, 9, 20] {
-            let lru = measure_lru_io(&p, &[8], s, |_, f| f as f64);
-            let min = measure_min_io(&p, &[8], s, |_, f| f as f64);
+            let (lru, min) = measure_lru_min_io(&p, &[8], s, |_, f| f as f64);
             assert!(min.loads <= lru.loads, "S={s}");
-        }
-    }
-
-    #[test]
-    fn fused_path_matches_separate_measurements() {
-        let p = two_pass();
-        for s in [2usize, 4, 9, 20] {
-            let lru = measure_lru_io(&p, &[8], s, |_, f| f as f64);
-            let min = measure_min_io(&p, &[8], s, |_, f| f as f64);
-            let (lru2, min2) = measure_lru_min_io(&p, &[8], s, |_, f| f as f64);
-            assert_eq!(lru, lru2, "S={s}");
-            assert_eq!(min, min2, "S={s}");
         }
     }
 }

@@ -335,26 +335,18 @@ impl LruSim {
 /// `set` / `clear` in a handful of word operations (three u64 levels ≈
 /// positions up to 2²⁴ in two cache lines of summaries).
 ///
-/// This is the replacement-policy workhorse shared by the simulators here
-/// and the pebble-game engine in `iolb-cdag`: "farthest next use" queries
-/// reduce to `max` over a set of positions.
+/// [`BeladySim`]'s replacement-policy workhorse: "farthest next use"
+/// queries reduce to `max` over a set of positions.
 #[derive(Debug, Default)]
-pub struct MaxPosSet {
+struct MaxPosSet {
     l0: Vec<u64>,
     l1: Vec<u64>,
     l2: Vec<u64>,
 }
 
 impl MaxPosSet {
-    /// Creates an empty set over positions `0..n`.
-    pub fn new(n: usize) -> MaxPosSet {
-        let mut s = MaxPosSet::default();
-        s.reset(n);
-        s
-    }
-
     /// Clears the set and resizes it to positions `0..n`.
-    pub fn reset(&mut self, n: usize) {
+    fn reset(&mut self, n: usize) {
         let w0 = n.div_ceil(64);
         let w1 = w0.div_ceil(64);
         let w2 = w1.div_ceil(64).max(1);
@@ -368,7 +360,7 @@ impl MaxPosSet {
 
     /// Inserts `pos`.
     #[inline]
-    pub fn set(&mut self, pos: usize) {
+    fn set(&mut self, pos: usize) {
         self.l0[pos >> 6] |= 1 << (pos & 63);
         self.l1[pos >> 12] |= 1 << ((pos >> 6) & 63);
         self.l2[pos >> 18] |= 1 << ((pos >> 12) & 63);
@@ -377,7 +369,7 @@ impl MaxPosSet {
     /// Removes `pos` (no-op when absent... except the summary bits assume
     /// it was present — only clear positions previously set).
     #[inline]
-    pub fn clear(&mut self, pos: usize) {
+    fn clear(&mut self, pos: usize) {
         let w0 = pos >> 6;
         self.l0[w0] &= !(1 << (pos & 63));
         if self.l0[w0] == 0 {
@@ -391,7 +383,7 @@ impl MaxPosSet {
 
     /// Highest set position, if any.
     #[inline]
-    pub fn max(&self) -> Option<usize> {
+    fn max(&self) -> Option<usize> {
         let w2 = self.l2.iter().rposition(|&w| w != 0)?;
         let b2 = 63 - self.l2[w2].leading_zeros() as usize;
         let w1 = (w2 << 6) | b2;
@@ -406,7 +398,7 @@ impl MaxPosSet {
 ///
 /// One reverse pass threads a next-use chain through the trace (`chain[t]` =
 /// next position touching `trace[t]`'s cell); the forward pass keeps the
-/// resident set as the *set of next-use positions* in a [`MaxPosSet`] — the
+/// resident set as the *set of next-use positions* in a `MaxPosSet` — the
 /// victim is the maximum position, and `trace[pos]` recovers its cell, so no
 /// ordered map and no per-access allocation is needed.
 ///
@@ -414,8 +406,8 @@ impl MaxPosSet {
 /// overwritten (its next access is a write, or there is none): a write
 /// miss produces its value in fast memory for free, so evicting a dead
 /// element can never cost a load. Dead elements live in their own
-/// [`MaxPosSet`] (keyed by cell, matching the reference engine's largest-
-/// tie-break) and are evicted first — they compare as `+∞`. This
+/// `MaxPosSet` (keyed by cell, largest cell id first) and are evicted
+/// first — they compare as `+∞`. This
 /// write-kill rule is what makes the greedy farthest-next-use policy
 /// *exactly* optimal under the red-white cost model; without it, MIN
 /// pointlessly retains values whose next event is their own overwrite.
@@ -524,8 +516,7 @@ impl BeladySim {
             }
             if resident == self.capacity {
                 // Victim: any dead element first (+∞ key; largest cell id
-                // — the reference engine's tie-break), otherwise the
-                // maximum next-use position.
+                // first), otherwise the maximum next-use position.
                 let victim = match self.dead.max() {
                     Some(c) => {
                         self.dead.clear(c);

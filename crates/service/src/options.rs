@@ -36,7 +36,9 @@ pub struct AnalysisOptions {
     pub no_degrade: bool,
     /// Curve-pricing path of the validation sweep: streaming sharded
     /// engines (default, cross-checked on small traces) or the legacy
-    /// materialized reference engine, forced.
+    /// materialized reference engine, forced. It cannot change a result,
+    /// so no front-end sets it; it stays in the fingerprint so existing
+    /// cache keys keep their text.
     pub curve_strategy: CurveStrategy,
     /// One-shot injected fault (testing). Requests carrying a fault
     /// bypass the result cache entirely: the point is to exercise the
@@ -91,6 +93,10 @@ fn parse_flag(key: &str, value: &str) -> Result<bool, String> {
     }
 }
 
+/// Keys that are presence-only flags on a command line (every other key
+/// consumes a value argument).
+const FLAG_KEYS: &[&str] = &["no-tightness", "derive-only", "no-degrade"];
+
 impl AnalysisOptions {
     /// Applies one `key = value` option pair. The keys are the CLI flag
     /// names without the `--` prefix, so the daemon's query string and
@@ -99,7 +105,7 @@ impl AnalysisOptions {
     /// `params`, `stmt`, `s-grid`, `engines`, `no-tightness`,
     /// `derive-only`, `max-instances`, `max-cdag-nodes`, `max-cdag-edges`,
     /// `max-trace`, `max-arena-bytes`, `max-work`, `deadline-ms`,
-    /// `no-degrade`, `curve-strategy`, `inject`.
+    /// `no-degrade`, `inject`.
     ///
     /// # Errors
     /// Human-readable diagnostic on unknown keys or malformed values.
@@ -129,17 +135,6 @@ impl AnalysisOptions {
             "no-tightness" => self.no_tightness = parse_flag(key, value)?,
             "derive-only" => self.derive_only = parse_flag(key, value)?,
             "no-degrade" => self.no_degrade = parse_flag(key, value)?,
-            "curve-strategy" => {
-                self.curve_strategy = match value.trim() {
-                    "streaming" => CurveStrategy::Streaming,
-                    "materialized" => CurveStrategy::Materialized,
-                    other => {
-                        return Err(format!(
-                            "bad curve-strategy `{other}` (want streaming|materialized)"
-                        ))
-                    }
-                };
-            }
             "max-instances" => self.budget.max_instances = parse_ceiling(key, value)?,
             "max-cdag-nodes" => self.budget.max_cdag_nodes = parse_ceiling(key, value)?,
             "max-cdag-edges" => self.budget.max_cdag_edges = parse_ceiling(key, value)?,
@@ -159,6 +154,32 @@ impl AnalysisOptions {
             other => return Err(format!("unknown option `{other}`")),
         }
         Ok(())
+    }
+
+    /// Applies one command-line flag `--KEY` through [`set`]: the
+    /// presence-only flags (`--no-tightness`, `--derive-only`,
+    /// `--no-degrade`) take no value, every other key takes the next
+    /// element of `args`. Both the `iolb` CLI and the `iolbd` daemon parse
+    /// their analysis flags here.
+    ///
+    /// # Errors
+    /// [`set`]'s diagnostic, or a missing value.
+    ///
+    /// [`set`]: AnalysisOptions::set
+    pub fn set_flag<'a>(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<(), String> {
+        let key = flag
+            .strip_prefix("--")
+            .ok_or_else(|| format!("unknown option `{flag}`"))?;
+        let value = if FLAG_KEYS.contains(&key) {
+            ""
+        } else {
+            args.next().ok_or_else(|| format!("{flag} needs a value"))?
+        };
+        self.set(key, value)
     }
 
     /// The engine registry this request selected. The stored spec is
@@ -229,7 +250,6 @@ mod tests {
         o.set("no-degrade", "1").unwrap();
         o.set("max-trace", "1000").unwrap();
         o.set("deadline-ms", "250").unwrap();
-        o.set("curve-strategy", "materialized").unwrap();
         o.set("inject", "oom@cdag_fill").unwrap();
         assert_eq!(
             o.params_override,
@@ -244,7 +264,6 @@ mod tests {
             vec!["input-floor", "spectral"]
         );
         assert!(o.no_tightness && o.derive_only && o.no_degrade);
-        assert_eq!(o.curve_strategy, CurveStrategy::Materialized);
         assert_eq!(o.budget.max_trace_len, 1000);
         assert_eq!(o.budget.deadline_ms, 250);
         assert!(o.inject.is_some());
@@ -254,10 +273,30 @@ mod tests {
         assert!(o.set("s-grid", "a,b").is_err());
         assert!(o.set("s-grid", "").is_err());
         assert!(o.set("max-work", "-3").is_err());
-        assert!(o.set("curve-strategy", "frobnicate").is_err());
+        assert!(o.set("curve-strategy", "materialized").is_err());
         assert!(o.set("engines", "frobnicate").is_err());
         assert!(o.set("inject", "bogus").is_err());
         assert!(o.set("frobnicate", "1").is_err());
+    }
+
+    #[test]
+    fn set_flag_takes_a_value_only_for_valued_keys() {
+        let args: Vec<String> = ["--no-tightness", "--s-grid", "0,4", "--derive-only"]
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        let mut o = AnalysisOptions::default();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            o.set_flag(flag, &mut it).unwrap();
+        }
+        assert!(o.no_tightness && o.derive_only);
+        assert_eq!(o.s_offsets, vec![0, 4]);
+
+        let mut none = [].iter();
+        let err = o.set_flag("--max-work", &mut none).unwrap_err();
+        assert_eq!(err, "--max-work needs a value");
+        assert!(o.set_flag("-x", &mut none).unwrap_err().contains("`-x`"));
     }
 
     #[test]
@@ -284,7 +323,7 @@ mod tests {
         f.set("engines", "none").unwrap();
         assert_ne!(a.fingerprint(), f.fingerprint());
         let mut h = a.clone();
-        h.set("curve-strategy", "materialized").unwrap();
+        h.curve_strategy = CurveStrategy::Materialized;
         assert_ne!(a.fingerprint(), h.fingerprint());
         // `all` spelled out collapses to the default selection.
         let mut g = a.clone();

@@ -30,8 +30,46 @@
 //! unchanged tree the gate compares byte-equal values.
 
 mod crash_smoke;
-mod json;
 mod serve_bench;
+
+/// The bench reports are read with the service crate's JSON reader.
+mod json {
+    pub use iolb_service::json::{parse, Value};
+
+    #[cfg(test)]
+    mod tests {
+        #![allow(clippy::unwrap_used)] // test-only assertions
+        use super::*;
+
+        #[test]
+        fn parses_the_emitters_shapes() {
+            let v = parse(
+                r#"{"schema": "x/v2", "meta": {"threads": 8, "total_wall_ms": 12.5},
+                    "rows": [{"kernel": "a", "params": [1, 2], "sound": true, "x": null, "r": -1.25e2}]}"#,
+            )
+            .unwrap();
+            assert_eq!(v.get("schema").unwrap().str(), Some("x/v2"));
+            assert_eq!(
+                v.get("meta").unwrap().get("threads").unwrap().num(),
+                Some(8.0)
+            );
+            let row = &v.get("rows").unwrap().arr().unwrap()[0];
+            assert_eq!(row.get("sound").unwrap().bool(), Some(true));
+            assert_eq!(row.get("x"), Some(&Value::Null));
+            assert_eq!(row.get("r").unwrap().num(), Some(-125.0));
+            assert_eq!(row.get("params").unwrap().arr().unwrap().len(), 2);
+        }
+
+        #[test]
+        fn rejects_garbage() {
+            assert!(parse("{").is_err());
+            assert!(parse("[1,]").is_err());
+            assert!(parse("{\"a\" 1}").is_err());
+            assert!(parse("12 34").is_err());
+            assert!(parse("").is_err());
+        }
+    }
+}
 
 use json::Value;
 use std::path::{Path, PathBuf};
@@ -341,7 +379,7 @@ fn gate_governance(base: &Value, new: &Value, which: &str, violations: &mut Vec<
             ));
         }
     }
-    for row in new.get("failures").map(Value::arr).unwrap_or(&[]) {
+    for row in new.get("failures").and_then(Value::arr).unwrap_or(&[]) {
         let kernel = row.get("kernel").and_then(Value::str).unwrap_or("?");
         let class = row.get("class").and_then(Value::str).unwrap_or("?");
         let message = row.get("message").and_then(Value::str).unwrap_or("");
@@ -351,14 +389,14 @@ fn gate_governance(base: &Value, new: &Value, which: &str, violations: &mut Vec<
     }
     let base_level = |kernel: &str| -> &str {
         base.get("degradation")
-            .map(Value::arr)
+            .and_then(Value::arr)
             .unwrap_or(&[])
             .iter()
             .find(|r| r.get("kernel").and_then(Value::str) == Some(kernel))
             .and_then(|r| r.get("level").and_then(Value::str))
             .unwrap_or("full")
     };
-    for row in new.get("degradation").map(Value::arr).unwrap_or(&[]) {
+    for row in new.get("degradation").and_then(Value::arr).unwrap_or(&[]) {
         let kernel = row.get("kernel").and_then(Value::str).unwrap_or("?");
         let level = row.get("level").and_then(Value::str).unwrap_or("?");
         let Some(rank) = degradation_rank(level) else {
@@ -454,7 +492,8 @@ fn pebble_key(row: &Value) -> String {
         "{}{:?} S={} {}",
         row.get("kernel").and_then(Value::str).unwrap_or("?"),
         row.get("params")
-            .map(|p| p.arr().iter().filter_map(Value::num).collect::<Vec<f64>>())
+            .and_then(Value::arr)
+            .map(|p| p.iter().filter_map(Value::num).collect::<Vec<f64>>())
             .unwrap_or_default(),
         row.get("s").and_then(Value::num).unwrap_or(-1.0),
         row.get("policy").and_then(Value::str).unwrap_or("?"),
@@ -462,7 +501,7 @@ fn pebble_key(row: &Value) -> String {
 }
 
 fn gate_pebble(base: &Value, new: &Value, violations: &mut Vec<String>) {
-    let fresh_rows = new.get("rows").map(Value::arr).unwrap_or(&[]);
+    let fresh_rows = new.get("rows").and_then(Value::arr).unwrap_or(&[]);
     // Soundness loss: every fresh cell must be sound.
     for row in fresh_rows {
         if row.get("sound").and_then(Value::bool) != Some(true) {
@@ -471,7 +510,7 @@ fn gate_pebble(base: &Value, new: &Value, violations: &mut Vec<String>) {
     }
     // Coverage loss: every baseline cell must still be produced.
     let fresh_keys: Vec<String> = fresh_rows.iter().map(pebble_key).collect();
-    for row in base.get("rows").map(Value::arr).unwrap_or(&[]) {
+    for row in base.get("rows").and_then(Value::arr).unwrap_or(&[]) {
         let key = pebble_key(row);
         if !fresh_keys.contains(&key) {
             violations.push(format!(
@@ -487,7 +526,7 @@ fn gate_pebble(base: &Value, new: &Value, violations: &mut Vec<String>) {
 fn scaling_points(doc: &Value) -> Vec<(u64, String, f64)> {
     doc.get("meta")
         .and_then(|m| m.get("scaling"))
-        .map(Value::arr)
+        .and_then(Value::arr)
         .unwrap_or(&[])
         .iter()
         .filter_map(|p| {
@@ -553,12 +592,13 @@ fn engine_coverage(doc: &Value) -> Option<(usize, usize)> {
         return None;
     }
     let mut groups: Vec<(String, bool)> = Vec::new();
-    for row in doc.get("rows").map(Value::arr).unwrap_or(&[]) {
+    for row in doc.get("rows").and_then(Value::arr).unwrap_or(&[]) {
         let key = format!(
             "{}{:?}",
             row.get("kernel").and_then(Value::str).unwrap_or("?"),
             row.get("params")
-                .map(|p| p.arr().iter().filter_map(Value::num).collect::<Vec<f64>>())
+                .and_then(Value::arr)
+                .map(|p| p.iter().filter_map(Value::num).collect::<Vec<f64>>())
                 .unwrap_or_default(),
         );
         let finite = ["lb_input", "lb_visit", "lb_spectral"]
@@ -603,13 +643,13 @@ fn gate_tightness(base: &Value, new: &Value, tol: f64, violations: &mut Vec<Stri
     // (kernel, s) → ratio maps for both sides.
     let collect = |doc: &Value| -> Vec<(String, f64, Option<f64>)> {
         let mut out = Vec::new();
-        for k in doc.get("kernels").map(Value::arr).unwrap_or(&[]) {
+        for k in doc.get("kernels").and_then(Value::arr).unwrap_or(&[]) {
             let name = k
                 .get("kernel")
                 .and_then(Value::str)
                 .unwrap_or("?")
                 .to_string();
-            for p in k.get("points").map(Value::arr).unwrap_or(&[]) {
+            for p in k.get("points").and_then(Value::arr).unwrap_or(&[]) {
                 let s = p.get("s").and_then(Value::num).unwrap_or(-1.0);
                 let ratio = p.get("ratio").and_then(Value::num);
                 out.push((name.clone(), s, ratio));

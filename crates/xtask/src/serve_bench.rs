@@ -259,7 +259,7 @@ fn cli_reference(iolb: &Path, kernels_dir: &Path, tmp: &Path) -> Result<Value, S
 fn rows_match(cli: &Value, kernel: &str, daemon_body: &Value) -> Result<usize, String> {
     let cli_rows: Vec<&Value> = cli
         .get("rows")
-        .map(Value::arr)
+        .and_then(Value::arr)
         .unwrap_or(&[])
         .iter()
         .filter(|r| r.get("kernel").and_then(Value::str) == Some(kernel))
@@ -267,7 +267,7 @@ fn rows_match(cli: &Value, kernel: &str, daemon_body: &Value) -> Result<usize, S
     let daemon_rows = daemon_body
         .get("sweep")
         .and_then(|s| s.get("rows"))
-        .map(Value::arr)
+        .and_then(Value::arr)
         .unwrap_or(&[]);
     if cli_rows.len() != daemon_rows.len() {
         return Err(format!(
@@ -518,12 +518,12 @@ pub fn gate_serve(base: &Value, new: &Value, violations: &mut Vec<String>) {
     // Coverage: every kernel the baseline served must still be served.
     let fresh_kernels: Vec<&str> = new
         .get("kernels")
-        .map(Value::arr)
+        .and_then(Value::arr)
         .unwrap_or(&[])
         .iter()
         .filter_map(Value::str)
         .collect();
-    for k in base.get("kernels").map(Value::arr).unwrap_or(&[]) {
+    for k in base.get("kernels").and_then(Value::arr).unwrap_or(&[]) {
         if let Some(name) = k.str() {
             if !fresh_kernels.contains(&name) {
                 violations.push(format!(

@@ -21,18 +21,9 @@ fn main() {
     for s in [192usize, 256, 384, 512, 768, 1024] {
         let block = kernels::mgs::a1_block_size(m, s);
         let params = [m as i64, n as i64, block as i64];
-        let data = a.data.clone();
-        let lru = kernels::sinks::measure_lru_io(&tiled, &params, s, move |arr, f| {
+        let (lru, min) = kernels::sinks::measure_lru_min_io(&tiled, &params, s, |arr, f| {
             if arr.0 == 0 {
-                data[f]
-            } else {
-                0.0
-            }
-        });
-        let data = a.data.clone();
-        let min = kernels::sinks::measure_min_io(&tiled, &params, s, move |arr, f| {
-            if arr.0 == 0 {
-                data[f]
+                a.data[f]
             } else {
                 0.0
             }

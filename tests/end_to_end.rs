@@ -59,7 +59,7 @@ fn upper_and_lower_bounds_sandwich_tiled_mgs() {
         let block = kernels::mgs::a1_block_size(m, s);
         let params = [m as i64, n as i64, block as i64];
         let data = a.data.clone();
-        let min = kernels::sinks::measure_min_io(&tiled, &params, s, move |arr, f| {
+        let (_, min) = kernels::sinks::measure_lru_min_io(&tiled, &params, s, move |arr, f| {
             if arr.0 == 0 {
                 data[f]
             } else {
@@ -91,7 +91,7 @@ fn memsim_agrees_with_pebble_game_ordering() {
         let play = PebbleGame::new(&g, s)
             .play_program_order(SpillPolicy::Lru)
             .unwrap();
-        let sim = kernels::sinks::measure_lru_io(&program, &params, s, |_, f| f as f64);
+        let (sim, _) = kernels::sinks::measure_lru_min_io(&program, &params, s, |_, f| f as f64);
         assert!(play.loads <= prev_play);
         assert!(sim.loads <= prev_sim);
         prev_play = play.loads;
